@@ -92,7 +92,9 @@ int main() {
   for (const auto& e : entries) {
     const CrossValidationResult cv =
         CrossValidate(e.factory, x, y, /*num_folds=*/10, &rng);
-    table.AddRow({e.name, "~" + Fmt(e.paper_acc, 3), Fmt(cv.mean.accuracy),
+    std::string paper_acc = "~";
+    paper_acc += Fmt(e.paper_acc, 3);
+    table.AddRow({e.name, paper_acc, Fmt(cv.mean.accuracy),
                   Fmt(cv.mean.precision), Fmt(cv.mean.recall),
                   Fmt(cv.mean.f1)});
   }

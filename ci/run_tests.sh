@@ -1,34 +1,34 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full release-mode test suite, a GEMM ISA-dispatch sweep
-# (test_kernels rerun under each FEXIOT_ISA tier — unsupported tiers
-# degrade to the widest available one, so the sweep is safe on any
-# host), a corpus thread-count parity check (golden statistics + content
-# fingerprints must be byte-identical between FEXIOT_THREADS=1 and
-# FEXIOT_THREADS=4), a federated-runtime parity check (the
-# discrete-event trace + result digest of a faulty run must be
-# byte-identical across thread counts), an async-policy parity check
-# wire-codec check (the fp64 default must reproduce the committed seed
-# trace byte-for-byte, and each lossy codec — fp32/bf16/int8 — must be
-# bit-identical across thread counts while differing from fp64), an
-# async-policy parity check
-# (same invariant for the FedAsync-style and semi-async server policies,
-# whose staleness-weighted application order is part of the trace), a
-# tree-aggregation parity check (same invariant for the hierarchical
-# edge/regional/root aggregation path with aggregator faults), a
-# propagation-mode sweep (GNN + sparse suites rerun under
-# FEXIOT_PROPAGATION=dense and =sparse — the two engines must both pass
-# every test), a 100k-client lazy-state scale smoke with an RSS ceiling,
-# a serving smoke (the streaming engine's result digest must be
-# byte-identical between max_batch=1 and max_batch=8, plus a seeded
-# Poisson soak against a p99 latency bound), an explain parity check
-# (explanation subgraphs + fidelity/sparsity digests of all three
-# explainers must be byte-identical between FEXIOT_THREADS=1 and 4),
-# then a ThreadSanitizer pass over the concurrency-bearing binaries
-# (thread pool / parallel facade / blocked GEMM race harness incl. the
-# parallel PackB + pack-reuse fan-out / SpMM row fan-out / stream-split
-# corpus fan-out / runtime-driven federated rounds incl. the async
-# policies / lazy-state scale simulator fan-out / batched serving
-# inference / parallel explanation search with its shared score memo).
+# Tier-1 gate. Stages, in order:
+#   1. warning-clean release build (-Werror on top of -Wall -Wextra);
+#   2. the full ctest suite;
+#   3. GEMM ISA-dispatch sweep: test_kernels rerun under each FEXIOT_ISA
+#      tier (unsupported tiers degrade to the widest available one, so
+#      the sweep is safe on any host);
+#   4. corpus thread-count parity: golden statistics + content
+#      fingerprints byte-identical between FEXIOT_THREADS=1 and 4;
+#   5. federated-runtime parity: discrete-event trace + result digest of
+#      a faulty run byte-identical across thread counts;
+#   6. wire codecs: the fp64 default reproduces the committed seed trace
+#      byte for byte, and each lossy codec (fp32/bf16/int8) is
+#      bit-identical across thread counts while differing from fp64;
+#   7. async-policy parity: the same invariant for the FedAsync-style and
+#      semi-async server policies, whose staleness-weighted application
+#      order is part of the trace;
+#   8. tree-aggregation parity: the same invariant for hierarchical
+#      edge, regional and root aggregation with aggregator faults;
+#   9. 100k-client lazy-state scale smoke with an RSS ceiling;
+#  10. serving smoke: the streaming engine's result digest byte-identical
+#      between max_batch=1 and max_batch=8, plus a seeded Poisson soak
+#      against a p99 latency bound;
+#  11. explain parity: explanation subgraphs + fidelity/sparsity digests
+#      of all three explainers byte-identical between FEXIOT_THREADS=1
+#      and 4;
+#  12. ThreadSanitizer pass over the concurrency-bearing binaries (thread
+#      pool / parallel facade / blocked GEMM incl. parallel PackB / SpMM
+#      row fan-out / corpus fan-out / runtime-driven federated rounds /
+#      lazy-state scale simulator / batched serving inference / parallel
+#      explanation search with its shared score memo).
 #
 # Usage: ci/run_tests.sh [build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -38,14 +38,14 @@ BUILD_DIR="${1:-build}"
 TSAN_DIR="${2:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "==> [1/13] configure + build (${BUILD_DIR})"
-cmake -B "${BUILD_DIR}" -S . >/dev/null
+echo "==> [1/12] configure + warning-clean build (${BUILD_DIR}, -Werror)"
+cmake -B "${BUILD_DIR}" -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-echo "==> [2/13] full test suite"
+echo "==> [2/12] full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "==> [3/13] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
+echo "==> [3/12] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
 for isa in scalar avx2 avx512; do
   echo "    FEXIOT_ISA=${isa}"
   FEXIOT_ISA="${isa}" "${BUILD_DIR}/tests/test_kernels" \
@@ -53,7 +53,7 @@ for isa in scalar avx2 avx512; do
 done
 echo "    kernel parity holds under every FEXIOT_ISA tier"
 
-echo "==> [4/13] corpus thread-count parity (FEXIOT_THREADS=1 vs 4)"
+echo "==> [4/12] corpus thread-count parity (FEXIOT_THREADS=1 vs 4)"
 STATS_DIR="${BUILD_DIR}/corpus-parity"
 mkdir -p "${STATS_DIR}"
 FEXIOT_THREADS=1 FEXIOT_STATS_OUT="${STATS_DIR}/stats_t1.json" \
@@ -68,7 +68,7 @@ if ! diff -u "${STATS_DIR}/stats_t1.json" "${STATS_DIR}/stats_t4.json"; then
 fi
 echo "    stats + fingerprints identical across thread counts"
 
-echo "==> [5/13] runtime thread-count parity (event trace + result digest)"
+echo "==> [5/12] runtime thread-count parity (event trace + result digest)"
 TRACE_DIR="${BUILD_DIR}/runtime-parity"
 mkdir -p "${TRACE_DIR}"
 FEXIOT_THREADS=1 FEXIOT_TRACE_OUT="${TRACE_DIR}/trace_t1.txt" \
@@ -83,7 +83,7 @@ if ! diff -u "${TRACE_DIR}/trace_t1.txt" "${TRACE_DIR}/trace_t4.txt"; then
 fi
 echo "    event trace + result digest identical across thread counts"
 
-echo "==> [6/13] wire codec checks (fp64 seed golden + lossy parity)"
+echo "==> [6/12] wire codec checks (fp64 seed golden + lossy parity)"
 # The fp64 default must keep emitting byte-identical FEXMSG01 frames and
 # byte-identical traces to the pre-codec seed: diff stage 5's artifact
 # against the committed golden.
@@ -116,7 +116,7 @@ for codec in fp32 bf16 int8; do
 done
 echo "    fp64 matches the seed golden; lossy codecs are thread-parity clean"
 
-echo "==> [7/13] async-policy thread-count parity (async + semi-async traces)"
+echo "==> [7/12] async-policy thread-count parity (async + semi-async traces)"
 FEXIOT_THREADS=1 FEXIOT_ASYNC_TRACE_OUT="${TRACE_DIR}/async_trace_t1.txt" \
   "${BUILD_DIR}/tests/test_runtime" \
   --gtest_filter='AsyncRuntimeParity.*' >/dev/null
@@ -130,7 +130,7 @@ if ! diff -u "${TRACE_DIR}/async_trace_t1.txt" \
 fi
 echo "    async + semi-async traces/digests identical across thread counts"
 
-echo "==> [8/13] tree-aggregation thread-count parity (hierarchical traces)"
+echo "==> [8/12] tree-aggregation thread-count parity (hierarchical traces)"
 FEXIOT_THREADS=1 FEXIOT_TREE_TRACE_OUT="${TRACE_DIR}/tree_trace_t1.txt" \
   "${BUILD_DIR}/tests/test_runtime" \
   --gtest_filter='TreeRuntimeParity.*' >/dev/null
@@ -144,22 +144,12 @@ if ! diff -u "${TRACE_DIR}/tree_trace_t1.txt" \
 fi
 echo "    hierarchical traces/digests identical across thread counts"
 
-echo "==> [9/13] propagation-mode sweep (FEXIOT_PROPAGATION=dense/sparse)"
-for mode in dense sparse; do
-  echo "    FEXIOT_PROPAGATION=${mode}"
-  FEXIOT_PROPAGATION="${mode}" "${BUILD_DIR}/tests/test_gnn" \
-    --gtest_brief=1 >/dev/null
-  FEXIOT_PROPAGATION="${mode}" "${BUILD_DIR}/tests/test_sparse" \
-    --gtest_brief=1 >/dev/null
-done
-echo "    both propagation engines pass the GNN + sparse suites"
-
-echo "==> [10/13] scale smoke (100k clients, lazy state, RSS ceiling)"
+echo "==> [9/12] scale smoke (100k clients, lazy state, RSS ceiling)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
   --gtest_filter='ScaleSmoke.*' --gtest_brief=1
 echo "    100k-client sampled round fits the lazy-state RSS ceiling"
 
-echo "==> [11/13] serving smoke (batch-size digest parity + Poisson soak)"
+echo "==> [10/12] serving smoke (batch-size digest parity + Poisson soak)"
 SERVE_DIR="${BUILD_DIR}/serving-smoke"
 mkdir -p "${SERVE_DIR}"
 FEXIOT_SERVING_DIGEST_OUT="${SERVE_DIR}/digest_b1.txt" FEXIOT_SERVING_BATCH=1 \
@@ -176,7 +166,7 @@ FEXIOT_SERVING_SOAK=1 "${BUILD_DIR}/tests/test_serving" \
   --gtest_filter='ServingSoak.*' --gtest_brief=1
 echo "    batched serving bit-matches sequential; soak met the latency bound"
 
-echo "==> [12/13] explain thread-count parity (explanation digests, t=1 vs 4)"
+echo "==> [11/12] explain thread-count parity (explanation digests, t=1 vs 4)"
 EXPLAIN_DIR="${BUILD_DIR}/explain-parity"
 mkdir -p "${EXPLAIN_DIR}"
 FEXIOT_THREADS=1 FEXIOT_EXPLAIN_DIGEST_OUT="${EXPLAIN_DIR}/digest_t1.txt" \
@@ -191,7 +181,7 @@ if ! diff -u "${EXPLAIN_DIR}/digest_t1.txt" "${EXPLAIN_DIR}/digest_t4.txt"; then
 fi
 echo "    explanation digests identical across thread counts"
 
-echo "==> [13/13] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
+echo "==> [12/12] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
 cmake -B "${TSAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=thread \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \

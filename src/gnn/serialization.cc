@@ -113,8 +113,7 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 }  // namespace
 
 std::vector<uint8_t> SerializeGnnModel(const GnnModel& model) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   const GnnConfig& c = model.config();
   const uint64_t header[] = {
       static_cast<uint64_t>(c.type),

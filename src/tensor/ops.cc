@@ -87,36 +87,6 @@ constexpr size_t kSmallFlops = 64 * 64 * 64;
 
 }  // namespace
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
-  const size_t n = a.rows(), k = a.cols(), m = b.cols();
-  if (n * k * m < kSmallFlops) return ReferenceMatMul(a, b);
-  Matrix c(n, m);
-  gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
-                    false, c.data());
-  return c;
-}
-
-Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
-  assert(a.rows() == b.rows());
-  const size_t n = a.cols(), k = a.rows(), m = b.cols();
-  if (n * k * m < kSmallFlops) return ReferenceMatMulTransA(a, b);
-  Matrix c(n, m);
-  gemm::GemmBlocked(n, k, m, a.data(), a.cols(), true, b.data(), b.cols(),
-                    false, c.data());
-  return c;
-}
-
-Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.cols());
-  const size_t n = a.rows(), k = a.cols(), m = b.rows();
-  if (n * k * m < kSmallFlops) return ReferenceMatMulTransB(a, b);
-  Matrix c(n, m);
-  gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
-                    true, c.data());
-  return c;
-}
-
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   assert(c != &a && c != &b && "MatMulInto output must not alias an input");
@@ -154,6 +124,27 @@ void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c) {
     gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
                       true, c->data());
   }
+}
+
+// The allocating forms forward to the *Into kernels so each product has
+// one reference-vs-blocked dispatch; a fresh Matrix resized in place is
+// zeroed exactly as the Matrix(n, m) constructor would be.
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  MatMulInto(a, b, &c);
+  return c;
+}
+
+Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  MatMulTransAInto(a, b, &c);
+  return c;
+}
+
+Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  MatMulTransBInto(a, b, &c);
+  return c;
 }
 
 void MatMulBlocksInto(const Matrix& a, const Matrix& b,

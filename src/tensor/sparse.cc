@@ -49,7 +49,7 @@ CsrMatrix CsrMatrix::FromRowLists(
   out.col_idx_.reserve(nnz);
   out.values_.reserve(nnz);
   for (size_t r = 0; r < rows; ++r) {
-    int prev = -1;
+    [[maybe_unused]] int prev = -1;  // read only by the assert
     for (const auto& [c, v] : row_lists[r]) {
       assert(c > prev && static_cast<size_t>(c) < cols &&
              "FromRowLists requires strictly ascending in-range columns");

@@ -69,7 +69,9 @@ TEST(Testbed, SamplesAreWellFormed) {
   int attacked = 0;
   for (const auto& s : f.train) {
     attacked += s.attacked ? 1 : 0;
-    if (s.attacked) EXPECT_EQ(s.label, 1);
+    if (s.attacked) {
+      EXPECT_EQ(s.label, 1);
+    }
     EXPECT_GT(s.log.size(), 0u);
   }
   EXPECT_GT(attacked, 0);

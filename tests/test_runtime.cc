@@ -207,8 +207,7 @@ TEST(Message, RejectsTruncatedQuantizedRecordWithValidCrc) {
   // A record whose element count promises more lanes than the frame holds
   // must fail as truncation even when the CRC over the short frame is
   // valid (a buggy sender, not line corruption).
-  std::vector<uint8_t> bytes;
-  bytes.insert(bytes.end(), {'F', 'E', 'X', 'M', 'S', 'G', '0', '2'});
+  std::vector<uint8_t> bytes = {'F', 'E', 'X', 'M', 'S', 'G', '0', '2'};
   wire::AppendU32(&bytes, 1);  // type = kLayerUpdate
   wire::AppendU32(&bytes, 0);  // round
   wire::AppendU32(&bytes, 0);  // sender

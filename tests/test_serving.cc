@@ -211,7 +211,6 @@ void RunDeltaChurn(GnnType type, uint64_t seed) {
   const int n = 24;
   GnnConfig gc;
   gc.type = type;
-  gc.propagation = PropagationMode::kSparse;
   InteractionGraph g;
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
@@ -309,7 +308,6 @@ void CheckForwardBatchMatchesForward(GnnType type,
   ASSERT_GE(graphs.size(), 3u);
   GnnConfig gc;
   gc.type = type;
-  gc.propagation = PropagationMode::kSparse;
   const GnnModel model(gc);
   std::vector<PreparedGraph> prepared;
   prepared.reserve(graphs.size());

@@ -5,9 +5,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "federated/fl_simulator.h"
 #include "gnn/trainer.h"
-#include "graph/corpus.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
 
@@ -188,7 +186,7 @@ TEST(SpMM, BitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Propagation-mode plumbing through PrepareGraph and the GNN.
+// CSR propagation through PrepareGraph and the GNN.
 
 InteractionGraph ChainGraph(int n, uint64_t seed) {
   Rng rng(seed);
@@ -206,22 +204,32 @@ InteractionGraph ChainGraph(int n, uint64_t seed) {
   return g;
 }
 
+// Independent dense oracle for the propagation matrix: the graph's own
+// symmetric normalization for GCN, and S = I + A over the undirected
+// skeleton (GIN with eps = 0).
+Matrix PropagationOracle(const InteractionGraph& g, GnnType type) {
+  if (type != GnnType::kGin) return g.NormalizedAdjacency();
+  const size_t n = static_cast<size_t>(g.num_nodes());
+  Matrix s(n, n);
+  for (size_t i = 0; i < n; ++i) s.At(i, i) = 1.0;
+  for (const auto& [u, v] : g.edges()) {
+    s.At(static_cast<size_t>(u), static_cast<size_t>(v)) = 1.0;
+    s.At(static_cast<size_t>(v), static_cast<size_t>(u)) = 1.0;
+  }
+  return s;
+}
+
 TEST(PrepareGraphModes, SparseCsrMatchesDenseMatrixExactly) {
   for (GnnType type : {GnnType::kGcn, GnnType::kGin}) {
     GnnConfig c;
     c.type = type;
     const InteractionGraph g = ChainGraph(9, 5);
-    c.propagation = PropagationMode::kDense;
-    const PreparedGraph pd = PrepareGraph(g, c);
-    c.propagation = PropagationMode::kSparse;
-    const PreparedGraph ps = PrepareGraph(g, c);
-    ASSERT_EQ(pd.mode, PropagationMode::kDense);
-    ASSERT_EQ(ps.mode, PropagationMode::kSparse);
-    EXPECT_EQ(pd.prop_csr.nnz(), 0u);
-    EXPECT_EQ(ps.propagation.size(), 0u);
-    ExpectBitEqual(ps.DensePropagation(), pd.propagation,
+    const PreparedGraph p = PrepareGraph(g, c);
+    EXPECT_EQ(p.mode, PropagationMode::kSparse);
+    // Chain of 9 closed into a ring: 9 self loops + 2 * 9 edge entries.
+    EXPECT_EQ(p.prop_csr.nnz(), 27u);
+    ExpectBitEqual(p.prop_csr.ToDense(), PropagationOracle(g, type),
                    GnnTypeName(type));
-    EXPECT_LT(ps.PropagationBytes(), pd.PropagationBytes());
   }
 }
 
@@ -232,10 +240,11 @@ TEST(PrepareGraphModes, SingleNodeAndSelfLoopOnlyGraphs) {
     // Single node, no edges: propagation is the 1 x 1 self-loop.
     {
       const InteractionGraph g = ChainGraph(1, 7);
-      c.propagation = PropagationMode::kSparse;
       const PreparedGraph p = PrepareGraph(g, c);
       EXPECT_EQ(p.prop_csr.nnz(), 1u);
-      EXPECT_EQ(p.DensePropagation().At(0, 0), 1.0);
+      EXPECT_EQ(p.prop_csr.ToDense().At(0, 0), 1.0);
+      ExpectBitEqual(p.prop_csr.ToDense(), PropagationOracle(g, type),
+                     "single node");
     }
     // Edgeless multi-node graph: self loops only (GCN degree 1 => value 1).
     {
@@ -247,33 +256,10 @@ TEST(PrepareGraphModes, SingleNodeAndSelfLoopOnlyGraphs) {
             static_cast<size_t>(PlatformFeatureDim(Platform::kIfttt)));
         g.AddNode(std::move(node));
       }
-      c.propagation = PropagationMode::kDense;
-      const PreparedGraph pd = PrepareGraph(g, c);
-      c.propagation = PropagationMode::kSparse;
-      const PreparedGraph ps = PrepareGraph(g, c);
-      EXPECT_EQ(ps.prop_csr.nnz(), 3u);
-      ExpectBitEqual(ps.DensePropagation(), pd.propagation, "self loops");
-    }
-  }
-}
-
-TEST(PrepareGraphModes, ForwardIsBitIdenticalAcrossModes) {
-  for (GnnType type : {GnnType::kGcn, GnnType::kGin, GnnType::kMagnn}) {
-    GnnConfig c;
-    c.type = type;
-    c.hidden_dim = 8;
-    c.embedding_dim = 6;
-    GnnModel model(c);
-    const InteractionGraph g = ChainGraph(11, 13);
-    c.propagation = PropagationMode::kDense;
-    const PreparedGraph pd = PrepareGraph(g, c);
-    c.propagation = PropagationMode::kSparse;
-    const PreparedGraph ps = PrepareGraph(g, c);
-    const std::vector<double> zd = model.Forward(pd, nullptr);
-    const std::vector<double> zs = model.Forward(ps, nullptr);
-    ASSERT_EQ(zd.size(), zs.size());
-    for (size_t i = 0; i < zd.size(); ++i) {
-      EXPECT_EQ(zd[i], zs[i]) << GnnTypeName(type) << " dim " << i;
+      const PreparedGraph p = PrepareGraph(g, c);
+      EXPECT_EQ(p.prop_csr.nnz(), 3u);
+      ExpectBitEqual(p.prop_csr.ToDense(), PropagationOracle(g, type),
+                     "self loops");
     }
   }
 }
@@ -314,47 +300,6 @@ TEST(PrepareGraphModes, WorkspaceBackwardMatchesAllocatingBackward) {
   }
 }
 
-// End-to-end: a full federated run must be bit-identical between the dense
-// and sparse propagation engines (same corpus, same seeds, same rounds).
-TEST(PrepareGraphModes, FederatedRunBitIdenticalDenseVsSparse) {
-  Rng rng(42);
-  CorpusOptions opt;
-  opt.platforms = {Platform::kIfttt};
-  opt.min_nodes = 3;
-  opt.max_nodes = 8;
-  opt.vulnerable_fraction = 0.4;
-  const FederatedCorpus corpus =
-      BuildClusteredFederatedCorpus(opt, 80, 4, 2, 1.0, 0.6, &rng);
-
-  auto run_with_mode = [&](PropagationMode mode) {
-    GnnConfig gc;
-    gc.type = GnnType::kGin;
-    gc.hidden_dim = 8;
-    gc.embedding_dim = 8;
-    gc.propagation = mode;
-    FlConfig fc;
-    fc.num_rounds = 2;
-    fc.local.epochs = 1;
-    fc.local.learning_rate = 0.02;
-    fc.local.margin = 3.0;
-    fc.min_cluster_size = 2;
-    FederatedSimulator sim(gc, fc);
-    sim.SetupClients(corpus.data, corpus.partition, corpus.cluster_tests);
-    return sim.Run(FlAlgorithm::kFexiot).value();
-  };
-  const FlResult rd = run_with_mode(PropagationMode::kDense);
-  const FlResult rs = run_with_mode(PropagationMode::kSparse);
-  EXPECT_EQ(rd.mean.accuracy, rs.mean.accuracy);
-  EXPECT_EQ(rd.mean.f1, rs.mean.f1);
-  EXPECT_EQ(rd.accuracy_std, rs.accuracy_std);
-  EXPECT_EQ(rd.client_cluster, rs.client_cluster);
-  ASSERT_EQ(rd.client_metrics.size(), rs.client_metrics.size());
-  for (size_t i = 0; i < rd.client_metrics.size(); ++i) {
-    EXPECT_EQ(rd.client_metrics[i].accuracy, rs.client_metrics[i].accuracy);
-    EXPECT_EQ(rd.client_metrics[i].f1, rs.client_metrics[i].f1);
-  }
-}
-
 TEST(PrepareGraphModes, TrainerIsBitIdenticalAcrossThreadCounts) {
   // The reworked per-shard-workspace trainer must preserve the thread-
   // count determinism contract under the sparse engine.
@@ -362,7 +307,6 @@ TEST(PrepareGraphModes, TrainerIsBitIdenticalAcrossThreadCounts) {
   gc.type = GnnType::kGcn;
   gc.hidden_dim = 8;
   gc.embedding_dim = 6;
-  gc.propagation = PropagationMode::kSparse;
   std::vector<InteractionGraph> graphs;
   for (int i = 0; i < 24; ++i) {
     InteractionGraph g = ChainGraph(4 + i % 5, 200 + static_cast<uint64_t>(i));
