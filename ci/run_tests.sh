@@ -24,28 +24,36 @@
 #  11. explain parity: explanation subgraphs + fidelity/sparsity digests
 #      of all three explainers byte-identical between FEXIOT_THREADS=1
 #      and 4;
-#  12. ThreadSanitizer pass over the concurrency-bearing binaries (thread
+#  12. benchmark smoke: perfbench/smoke_test.py runs every BENCHMARK.json
+#      workload at a tiny size, untraced and traced, so an API change the
+#      benchmark harness depends on (e.g. FederatedRuntime::ExecuteRound /
+#      RoundOutcome) fails here rather than in the benchmark;
+#  13. ThreadSanitizer pass over the concurrency-bearing binaries (thread
 #      pool / parallel facade / blocked GEMM incl. parallel PackB / SpMM
 #      row fan-out / corpus fan-out / runtime-driven federated rounds /
 #      lazy-state scale simulator / batched serving inference / parallel
-#      explanation search with its shared score memo).
+#      explanation search with its shared score memo);
+#  14. AddressSanitizer + UndefinedBehaviorSanitizer pass (undefined
+#      behaviour fatal) over the runtime, codecs, GNN and model files, rule
+#      parser, scale simulator and the seeded decoder fuzzer.
 #
-# Usage: ci/run_tests.sh [build-dir] [tsan-build-dir]
+# Usage: ci/run_tests.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 TSAN_DIR="${2:-build-tsan}"
+ASAN_DIR="${3:-build-asan}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "==> [1/12] configure + warning-clean build (${BUILD_DIR}, -Werror)"
+echo "==> [1/14] configure + warning-clean build (${BUILD_DIR}, -Werror)"
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-echo "==> [2/12] full test suite"
+echo "==> [2/14] full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "==> [3/12] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
+echo "==> [3/14] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
 for isa in scalar avx2 avx512; do
   echo "    FEXIOT_ISA=${isa}"
   FEXIOT_ISA="${isa}" "${BUILD_DIR}/tests/test_kernels" \
@@ -53,7 +61,7 @@ for isa in scalar avx2 avx512; do
 done
 echo "    kernel parity holds under every FEXIOT_ISA tier"
 
-echo "==> [4/12] corpus thread-count parity (FEXIOT_THREADS=1 vs 4)"
+echo "==> [4/14] corpus thread-count parity (FEXIOT_THREADS=1 vs 4)"
 STATS_DIR="${BUILD_DIR}/corpus-parity"
 mkdir -p "${STATS_DIR}"
 FEXIOT_THREADS=1 FEXIOT_STATS_OUT="${STATS_DIR}/stats_t1.json" \
@@ -68,7 +76,7 @@ if ! diff -u "${STATS_DIR}/stats_t1.json" "${STATS_DIR}/stats_t4.json"; then
 fi
 echo "    stats + fingerprints identical across thread counts"
 
-echo "==> [5/12] runtime thread-count parity (event trace + result digest)"
+echo "==> [5/14] runtime thread-count parity (event trace + result digest)"
 TRACE_DIR="${BUILD_DIR}/runtime-parity"
 mkdir -p "${TRACE_DIR}"
 FEXIOT_THREADS=1 FEXIOT_TRACE_OUT="${TRACE_DIR}/trace_t1.txt" \
@@ -83,7 +91,7 @@ if ! diff -u "${TRACE_DIR}/trace_t1.txt" "${TRACE_DIR}/trace_t4.txt"; then
 fi
 echo "    event trace + result digest identical across thread counts"
 
-echo "==> [6/12] wire codec checks (fp64 seed golden + lossy parity)"
+echo "==> [6/14] wire codec checks (fp64 seed golden + lossy parity)"
 # The fp64 default must keep emitting byte-identical FEXMSG01 frames and
 # byte-identical traces to the pre-codec seed: diff stage 5's artifact
 # against the committed golden.
@@ -116,7 +124,7 @@ for codec in fp32 bf16 int8; do
 done
 echo "    fp64 matches the seed golden; lossy codecs are thread-parity clean"
 
-echo "==> [7/12] async-policy thread-count parity (async + semi-async traces)"
+echo "==> [7/14] async-policy thread-count parity (async + semi-async traces)"
 FEXIOT_THREADS=1 FEXIOT_ASYNC_TRACE_OUT="${TRACE_DIR}/async_trace_t1.txt" \
   "${BUILD_DIR}/tests/test_runtime" \
   --gtest_filter='AsyncRuntimeParity.*' >/dev/null
@@ -130,7 +138,7 @@ if ! diff -u "${TRACE_DIR}/async_trace_t1.txt" \
 fi
 echo "    async + semi-async traces/digests identical across thread counts"
 
-echo "==> [8/12] tree-aggregation thread-count parity (hierarchical traces)"
+echo "==> [8/14] tree-aggregation thread-count parity (hierarchical traces)"
 FEXIOT_THREADS=1 FEXIOT_TREE_TRACE_OUT="${TRACE_DIR}/tree_trace_t1.txt" \
   "${BUILD_DIR}/tests/test_runtime" \
   --gtest_filter='TreeRuntimeParity.*' >/dev/null
@@ -144,12 +152,12 @@ if ! diff -u "${TRACE_DIR}/tree_trace_t1.txt" \
 fi
 echo "    hierarchical traces/digests identical across thread counts"
 
-echo "==> [9/12] scale smoke (100k clients, lazy state, RSS ceiling)"
+echo "==> [9/14] scale smoke (100k clients, lazy state, RSS ceiling)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
   --gtest_filter='ScaleSmoke.*' --gtest_brief=1
 echo "    100k-client sampled round fits the lazy-state RSS ceiling"
 
-echo "==> [10/12] serving smoke (batch-size digest parity + Poisson soak)"
+echo "==> [10/14] serving smoke (batch-size digest parity + Poisson soak)"
 SERVE_DIR="${BUILD_DIR}/serving-smoke"
 mkdir -p "${SERVE_DIR}"
 FEXIOT_SERVING_DIGEST_OUT="${SERVE_DIR}/digest_b1.txt" FEXIOT_SERVING_BATCH=1 \
@@ -166,7 +174,7 @@ FEXIOT_SERVING_SOAK=1 "${BUILD_DIR}/tests/test_serving" \
   --gtest_filter='ServingSoak.*' --gtest_brief=1
 echo "    batched serving bit-matches sequential; soak met the latency bound"
 
-echo "==> [11/12] explain thread-count parity (explanation digests, t=1 vs 4)"
+echo "==> [11/14] explain thread-count parity (explanation digests, t=1 vs 4)"
 EXPLAIN_DIR="${BUILD_DIR}/explain-parity"
 mkdir -p "${EXPLAIN_DIR}"
 FEXIOT_THREADS=1 FEXIOT_EXPLAIN_DIGEST_OUT="${EXPLAIN_DIR}/digest_t1.txt" \
@@ -181,7 +189,11 @@ if ! diff -u "${EXPLAIN_DIR}/digest_t1.txt" "${EXPLAIN_DIR}/digest_t4.txt"; then
 fi
 echo "    explanation digests identical across thread counts"
 
-echo "==> [12/12] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
+echo "==> [12/14] benchmark smoke (perfbench/smoke_test.py, every workload tiny)"
+python3 perfbench/smoke_test.py
+echo "    every benchmark workload builds, runs and reports its metrics"
+
+echo "==> [13/14] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
 cmake -B "${TSAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=thread \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
@@ -197,4 +209,16 @@ FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_scale"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_serving"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_explain"
 
-echo "OK: tier-1 suite green, thread-count parity holds, TSAN clean"
+echo "==> [14/14] ASAN+UBSAN pass (test_runtime + test_codec + test_gnn + test_rule_parser + test_scale + test_fuzz_decoders)"
+cmake -B "${ASAN_DIR}" -S . \
+  -DFEXIOT_SANITIZE=address \
+  -DFEXIOT_BUILD_BENCHMARKS=OFF \
+  -DFEXIOT_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "${ASAN_DIR}" -j "${JOBS}" \
+  --target test_runtime test_codec test_gnn test_rule_parser test_scale test_fuzz_decoders
+for t in test_runtime test_codec test_gnn test_rule_parser test_scale \
+         test_fuzz_decoders; do
+  FEXIOT_THREADS=4 "${ASAN_DIR}/tests/${t}" --gtest_brief=1
+done
+
+echo "OK: tier-1 suite green, parity holds, benchmark smoke passes, TSAN + ASAN/UBSAN clean"

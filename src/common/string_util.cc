@@ -84,12 +84,7 @@ bool Contains(std::string_view haystack, std::string_view needle) {
 }
 
 uint64_t HashString(std::string_view text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return Fnv1a(text.data(), text.size());
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +32,22 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// \brief True if \p haystack contains \p needle.
 bool Contains(std::string_view haystack, std::string_view needle);
+
+/// 64-bit FNV-1a offset basis (the hash of zero bytes).
+constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+
+/// \brief Folds \p size bytes at \p data into the running 64-bit FNV-1a
+/// hash \p h and returns the result. Chained calls hash the concatenation,
+/// so every content fingerprint in the tree is built on this one loop.
+inline uint64_t Fnv1a(const void* data, size_t size,
+                      uint64_t h = kFnv1aOffset) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;  // FNV-1a prime
+  }
+  return h;
+}
 
 /// \brief Stable 64-bit FNV-1a hash of \p text (platform independent).
 uint64_t HashString(std::string_view text);

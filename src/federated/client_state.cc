@@ -5,6 +5,17 @@
 
 namespace fexiot {
 
+int TrainSplitSize(const LazyClientSpec& spec) {
+  // Suffix split mirroring FlSimulator::SetupClients: leading fraction
+  // trains, the rest is the local test pool; when the split leaves the
+  // test side empty, one training graph moves over.
+  const int n = std::max(0, spec.graphs_per_client);
+  int n_train =
+      std::min(n, std::max(1, static_cast<int>(spec.local_train_fraction * n)));
+  if (n_train == n && n_train > 1) --n_train;
+  return n_train;
+}
+
 ClientStateStore::ClientStateStore(const LazyClientSpec& spec,
                                    uint64_t num_clients, bool eager)
     : spec_(spec), num_clients_(num_clients), eager_(eager) {
@@ -33,21 +44,9 @@ std::unique_ptr<MaterializedClient> ClientStateStore::Acquire(
   state->id = client;
   state->shard_fingerprint = CorpusContentFingerprint(shard);
 
-  // Suffix split mirroring FlSimulator::SetupClients: leading fraction
-  // trains, the rest is the local test pool; when the split leaves the
-  // test side empty, one training graph moves over.
-  const auto n = static_cast<int>(shard.size());
-  int n_train = std::max(
-      1, static_cast<int>(spec_.local_train_fraction * n));
-  n_train = std::min(n_train, n);
-  std::vector<InteractionGraph> train(shard.begin(), shard.begin() + n_train);
-  std::vector<InteractionGraph> test(shard.begin() + n_train, shard.end());
-  if (test.empty() && train.size() > 1) {
-    test.push_back(std::move(train.back()));
-    train.pop_back();
-  }
-  state->train_graphs = PrepareGraphs(train, spec_.model);
-  state->test_graphs = PrepareGraphs(test, spec_.model);
+  const auto split = shard.begin() + TrainSplitSize(spec_);
+  state->train_graphs = PrepareGraphs({shard.begin(), split}, spec_.model);
+  state->test_graphs = PrepareGraphs({split, shard.end()}, spec_.model);
 
   if (global != nullptr) {
     for (int l = 0; l < state->model.num_layers(); ++l) {

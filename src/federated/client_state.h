@@ -37,6 +37,11 @@ struct LazyClientSpec {
   GnnConfig model;
 };
 
+/// \brief Graphs in every client's training split (the rest of the
+/// graphs_per_client shard is its local test split). A pure function of
+/// the spec, so a round's compute time is known before any state exists.
+int TrainSplitSize(const LazyClientSpec& spec);
+
 /// \brief One client's fully materialized state: prepared graph splits
 /// plus a model replica, built by ClientStateStore::Acquire and handed
 /// back via Release when the client's in-flight event completes.

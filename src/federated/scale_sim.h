@@ -8,22 +8,19 @@
 #include "common/status.h"
 #include "federated/client_state.h"
 #include "ml/metrics.h"
-#include "runtime/codec.h"
-#include "runtime/network_model.h"
-#include "runtime/topology.h"
+#include "runtime/runtime.h"
 
 namespace fexiot {
 
 /// \brief Configuration of the million-client lazy-state FedAvg simulator.
 ///
 /// Unlike FlConfig (which hosts every client eagerly and evaluates all of
-/// them), ScaleFlConfig describes the federation by a LazyClientSpec and
-/// samples a small participant set per round, so memory is O(active
-/// clients) regardless of num_clients.
+/// them), ScaleFlConfig describes the federation by a LazyClientSpec; the
+/// round engine is the same FederatedRuntime, sampling a small
+/// participant set per round through runtime.participation_fraction, so
+/// client state is O(active clients) regardless of num_clients.
 struct ScaleFlConfig {
   uint64_t num_clients = 1000;
-  /// Clients sampled (without replacement, seeded per round) each round.
-  int sample_per_round = 32;
   int num_rounds = 2;
   /// Recipe materializing any client's shard + replica on demand.
   LazyClientSpec client;
@@ -32,26 +29,18 @@ struct ScaleFlConfig {
   /// results to the lazy default (pinned by test_scale) — only the memory
   /// profile differs.
   bool eager_state = false;
-  /// Hierarchical aggregation topology; flat when edge_fanout == 0.
-  TreeTopologyConfig topology;
-  /// Client access links (same LinkModel pricing as the event runtime).
-  LinkModel down_link;
-  LinkModel up_link;
-  /// Wire payload codec for every exchanged message (runtime/codec.h);
-  /// kFp64 is the bit-exact passthrough default. Lossy codecs shrink the
-  /// priced transfers and quantize what crosses each link — deterministic,
-  /// so thread-count/lazy-vs-eager bit-identity is preserved. Resolved
-  /// through FEXIOT_WIRE_CODEC at Run.
-  WireCodec wire_codec = WireCodec::kFp64;
-  /// Simulated seconds of local training per prepared graph per epoch.
-  double train_seconds_per_graph = 0.0;
-  /// Round deadline in simulated seconds; updates arriving at the root
-  /// later are discarded. 0 = synchronous (wait for all survivors).
-  double deadline_s = 0.0;
+  /// The round engine: sampled participation, links, faults, the
+  /// synchronous / deadline / timeout-retry policy, the aggregation tree
+  /// and the fleet wire codec (resolved through FEXIOT_WIRE_CODEC, as in
+  /// FederatedSimulator). Rejected: the async policies (the streaming
+  /// FedAvg has no staleness mixing) and per-client client_codecs.
+  RuntimeConfig runtime;
   /// Clients evaluated after the final round (sampled; 0 = skip eval).
   int eval_clients = 0;
   /// Worker threads for parallel client training (0 = hardware).
   int threads = 0;
+  /// Seeds local training and evaluation sampling (runtime.seed seeds
+  /// the round engine's draws).
   uint64_t seed = 59;
 };
 
@@ -60,25 +49,10 @@ Status ValidateScaleConfig(const ScaleFlConfig& config);
 /// \brief Per-round telemetry of a scale run.
 struct ScaleRoundStats {
   int round = 0;
-  int participants = 0;
-  /// Updates aggregated at the root this round.
-  int delivered = 0;
-  /// Updates lost on the client uplink.
-  int lost_updates = 0;
-  /// Updates discarded at the root for missing the deadline.
-  int late_updates = 0;
-  int aggregator_crashes = 0;
-  /// Arrived updates dropped because an aggregator on their path crashed.
-  int subtree_lost_updates = 0;
   double mean_local_loss = 0.0;
-  /// Simulated wall-clock at the end of this round.
-  double sim_time_s = 0.0;
-  /// Bytes crossing each uplink tier (size = tree depth; [0] = client
-  /// uplink incl. lost transmissions).
-  std::vector<double> hop_bytes;
-  /// Simulated events this round (broadcast + train + upload per
-  /// participant, plus one per interior forward).
-  uint64_t events = 0;
+  /// The runtime's account of the round: participants, deliveries,
+  /// losses, timing, per-tier hop bytes, wire bytes and scheduler events.
+  RoundOutcome outcome;
 };
 
 /// \brief Outcome of a scale run.
@@ -94,7 +68,9 @@ struct ScaleFlResult {
   /// Mean over sampled_metrics (zeros when eval_clients == 0).
   ClassificationMetrics mean;
   double total_sim_time_s = 0.0;
-  double total_comm_bytes = 0.0;
+  /// Sums of the rounds' runtime-counted wire bytes and scheduler events.
+  double total_uplink_wire_bytes = 0.0;
+  double total_downlink_wire_bytes = 0.0;
   uint64_t total_events = 0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
@@ -112,18 +88,17 @@ double ReadVmHwmMb();
 /// Current resident set size in MB (VmRSS; 0.0 off Linux).
 double ReadVmRssMb();
 
-/// \brief Million-client FedAvg driver over lazy client state and the
-/// hierarchical streaming-aggregation tree.
+/// \brief Million-client lazy FedAvg loop over FederatedRuntime.
 ///
-/// Per round: sample participants (Floyd's O(k) algorithm — no O(n)
-/// scratch), fan local training out over a thread pool where each worker
-/// Acquires its client's state, trains, snapshots the update, and
-/// Releases before returning (peak live state <= pool width), then route
-/// arrivals through the aggregation tree and fold delivered updates into
-/// streaming accumulators per tier. Clients are stateless (re-initialized
-/// from the global each round) and every stochastic draw is counter-based,
-/// so results are bit-identical across thread counts, participation
-/// schedules, and lazy-vs-eager state (pinned by test_scale).
+/// Each round follows FederatedSimulator::Run: ExecuteRound decides who
+/// participates and whose updates are delivered, then the participants
+/// train on a thread pool where each worker Acquires its client's state,
+/// trains, snapshots the update, and Releases before returning (peak live
+/// state <= pool width), then the delivered updates fold into streaming
+/// accumulators grouped by the runtime's aggregation tree. Clients are
+/// stateless (re-initialized from the global each round) and every
+/// stochastic draw is counter-based, so results are bit-identical across
+/// thread counts and lazy-vs-eager state (pinned by test_scale).
 class ScaleSimulator {
  public:
   explicit ScaleSimulator(const ScaleFlConfig& config);

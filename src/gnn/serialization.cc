@@ -1,5 +1,6 @@
 #include "gnn/serialization.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -110,6 +111,23 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/// Bytes of layer records (u64 count + doubles each) a model of this
+/// shape serializes to — GnnModel's layer layout, checked against the
+/// encoding before the model is allocated. Dimensions are < 2^31, so the
+/// 128-bit sum cannot overflow.
+unsigned __int128 LayerRecordBytes(const GnnConfig& c, uint64_t num_layers) {
+  using U = unsigned __int128;
+  const U in = static_cast<U>(c.input_dim), h = static_cast<U>(c.hidden_dim),
+          e = static_cast<U>(c.embedding_dim);
+  const U stacked = static_cast<U>(c.num_layers) -
+                    (c.type == GnnType::kMagnn ? 0 : 1);
+  U params = in * h + h + stacked * (h * h + h) + 2 * h * e + e;
+  if (c.type == GnnType::kMagnn) {
+    params += static_cast<U>(c.hetero_input_dim) * h + h;
+  }
+  return (num_layers + params) * 8;
+}
+
 }  // namespace
 
 std::vector<uint8_t> SerializeGnnModel(const GnnModel& model) {
@@ -168,6 +186,16 @@ Result<GnnModel> DeserializeGnnModel(const uint8_t* data, size_t size) {
   if (header[0] > static_cast<uint64_t>(GnnType::kMagnn)) {
     return Status::InvalidArgument("unknown model type in GNN model encoding");
   }
+  // Dimensions are non-negative ints, with at least one message-passing
+  // layer.
+  for (int f = 1; f <= 5; ++f) {
+    if (header[f] > static_cast<uint64_t>(INT_MAX)) {
+      return Status::InvalidArgument("bad dimension in GNN model encoding");
+    }
+  }
+  if (header[4] == 0) {
+    return Status::InvalidArgument("no layers in GNN model encoding");
+  }
   c.type = static_cast<GnnType>(header[0]);
   c.input_dim = static_cast<int>(header[1]);
   c.hetero_input_dim = static_cast<int>(header[2]);
@@ -175,10 +203,19 @@ Result<GnnModel> DeserializeGnnModel(const uint8_t* data, size_t size) {
   c.num_layers = static_cast<int>(header[4]);
   c.embedding_dim = static_cast<int>(header[5]);
   c.seed = header[6];
-  GnnModel model(c);
-  if (static_cast<int>(header[7]) != model.num_layers()) {
+  // The shape must match the layer count and fit the records that follow
+  // before GnnModel allocates it: a corrupted dimension or layer count
+  // must not request terabytes.
+  const uint64_t num_layers =
+      header[4] + (c.type == GnnType::kMagnn ? 2 : 1);
+  if (header[7] != num_layers) {
     return Status::InvalidArgument("layer count mismatch in GNN model encoding");
   }
+  if (LayerRecordBytes(c, num_layers) != body_end - off) {
+    return Status::InvalidArgument(
+        "model shape does not match GNN model encoding size");
+  }
+  GnnModel model(c);
   for (int l = 0; l < model.num_layers(); ++l) {
     std::vector<double> flat;
     if (!wire::ReadLayerRecord(data, body_end, &off, &flat)) {

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "common/string_util.h"
 #include "graph/vuln_checker.h"
 
 namespace fexiot {
@@ -425,15 +426,7 @@ std::vector<InteractionGraph> GraphCorpusGenerator::GenerateDataset(
 
 namespace {
 
-void FnvBytes(const void* data, size_t n, uint64_t* h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= p[i];
-    *h *= 0x100000001b3ULL;  // FNV-1a prime
-  }
-}
-
-void FnvU64(uint64_t v, uint64_t* h) { FnvBytes(&v, sizeof(v), h); }
+void FnvU64(uint64_t v, uint64_t* h) { *h = Fnv1a(&v, sizeof(v), *h); }
 
 void FnvDouble(double v, uint64_t* h) {
   // Bit pattern, not value: 0.0 vs -0.0 or any ulp drift must be caught.
@@ -444,7 +437,7 @@ void FnvDouble(double v, uint64_t* h) {
 
 void FnvString(const std::string& s, uint64_t* h) {
   FnvU64(s.size(), h);
-  FnvBytes(s.data(), s.size(), h);
+  *h = Fnv1a(s.data(), s.size(), *h);
 }
 
 void FnvGraph(const InteractionGraph& g, uint64_t* h) {
@@ -474,7 +467,7 @@ void FnvGraph(const InteractionGraph& g, uint64_t* h) {
 
 uint64_t CorpusContentFingerprint(
     const std::vector<InteractionGraph>& graphs) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
+  uint64_t h = kFnv1aOffset;
   FnvU64(graphs.size(), &h);
   for (const auto& g : graphs) FnvGraph(g, &h);
   return h;

@@ -81,6 +81,11 @@ Result<WireMessage> DecodeMessage(const uint8_t* data, size_t size) {
     if (!IsValidWireCodec(encoding)) {
       return Status::InvalidArgument("unknown wire message payload encoding");
     }
+    // fp64 travels only as FEXMSG01; accepting it here would give one
+    // message two framings.
+    if (encoding == static_cast<uint32_t>(WireCodec::kFp64)) {
+      return Status::InvalidArgument("FEXMSG02 frame with fp64 encoding");
+    }
     msg.codec = static_cast<WireCodec>(encoding);
   }
   if (!ReadEncodedPayload(data, body_end, &off, msg.codec, &msg.payload)) {

@@ -484,6 +484,9 @@ RoundOutcome FederatedRuntime::ExecuteRound(
     }
   }
 
+  // The loop drains the queue, so every scheduled event was popped.
+  outcome.events = queue.scheduled();
+
   // 3. Round-completion policy.
   const double effective_deadline = EffectiveDeadline();
   outcome.effective_deadline_s =

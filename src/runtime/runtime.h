@@ -192,6 +192,10 @@ struct RoundOutcome {
   /// Real on-wire downlink bytes this round: every broadcast copy that
   /// left the server, including re-fetch re-sends and lost copies.
   double downlink_wire_bytes = 0.0;
+  /// Discrete events the scheduler popped this round (broadcast and
+  /// upload arrivals or losses, retries, re-fetches, tier flushes). Tree
+  /// forwarding is a post-pass router, not scheduler events.
+  uint64_t events = 0;
 };
 
 /// \brief Deterministic discrete-event federated round executor.
@@ -236,6 +240,10 @@ class FederatedRuntime {
   const std::vector<std::string>& trace() const { return trace_; }
 
   const RuntimeConfig& config() const { return config_; }
+
+  /// The aggregation tree that routes this runtime's uploads (flat when
+  /// the topology is disabled); callers group their reductions by it.
+  const AggregationTree& tree() const { return tree_; }
 
  private:
   void SendUpload(EventQueue* queue, RoundOutcome* outcome, int round,

@@ -8,6 +8,7 @@
 #include "federated/client_state.h"
 #include "federated/scale_sim.h"
 #include "graph/corpus.h"
+#include "runtime/message.h"
 #include "runtime/topology.h"
 
 namespace fexiot {
@@ -205,7 +206,7 @@ TEST(ClientStateStore, LazyAndEagerReturnIdenticalStateAndTrackLiveness) {
 ScaleFlConfig SmallScaleConfig() {
   ScaleFlConfig cfg;
   cfg.num_clients = 40;
-  cfg.sample_per_round = 12;
+  cfg.runtime.participation_fraction = 12.0 / 40.0;  // 12 per round
   cfg.num_rounds = 3;
   cfg.client.corpus = ShardOptions();
   cfg.client.graphs_per_client = 4;
@@ -220,19 +221,38 @@ ScaleFlConfig SmallScaleConfig() {
   return cfg;
 }
 
+void UseTree(ScaleFlConfig* cfg) {
+  cfg->runtime.topology.edge_fanout = 4;
+  cfg->runtime.topology.regional_fanout = 3;
+  cfg->runtime.topology.edge_up.latency_s = 0.5;
+}
+
+// Wire bytes of one whole-model message under \p codec.
+double ModelMessageBytes(const ScaleFlConfig& cfg, WireCodec codec) {
+  const GnnModel probe(cfg.client.model);
+  double bytes = 0.0;
+  for (int l = 0; l < probe.num_layers(); ++l) {
+    bytes += static_cast<double>(MessageWireBytes(probe.LayerSize(l), codec));
+  }
+  return bytes;
+}
+
 std::string RoundsDigest(const ScaleFlResult& res) {
   std::string out;
-  char buf[128];
+  char buf[192];
   for (const ScaleRoundStats& r : res.rounds) {
+    const RoundOutcome& o = r.outcome;
     std::snprintf(buf, sizeof(buf),
-                  "r%d p=%d d=%d lost=%d late=%d crash=%d sub=%d loss=%a "
-                  "t=%a e=%llu\n",
-                  r.round, r.participants, r.delivered, r.lost_updates,
-                  r.late_updates, r.aggregator_crashes,
-                  r.subtree_lost_updates, r.mean_local_loss, r.sim_time_s,
-                  static_cast<unsigned long long>(r.events));
+                  "r%d p=%zu d=%zu lost=%d late=%d crash=%d sub=%d loss=%a "
+                  "t=%a up=%a down=%a e=%llu\n",
+                  r.round, o.participants.size(), o.delivered.size(),
+                  o.lost_updates, o.late_updates, o.aggregator_crashes,
+                  o.subtree_lost_updates, r.mean_local_loss, o.end_time_s,
+                  o.uplink_wire_bytes, o.downlink_wire_bytes,
+                  static_cast<unsigned long long>(o.events));
     out += buf;
-    for (double hb : r.hop_bytes) {
+    for (int c : o.delivered) out += ' ' + std::to_string(c);
+    for (double hb : o.hop_bytes) {
       std::snprintf(buf, sizeof(buf), " hop=%a", hb);
       out += buf;
     }
@@ -253,14 +273,28 @@ TEST(ScaleSimulator, RejectsOutOfRangeConfig) {
     return !ScaleSimulator(c).Run().ok();
   };
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->num_clients = 0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->sample_per_round = 0; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->num_clients = 1ULL << 31; }));
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->num_rounds = 0; }));
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->client.graphs_per_client = 1; }));
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->client.local_train_fraction = 1.0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->deadline_s = -1.0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->up_link.loss_prob = 1.0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->topology.edge_fanout = -1; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->topology.regional_fanout = 3; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->eval_clients = -1; }));
+  // The runtime field is validated by ValidateRuntimeConfig.
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->runtime.participation_fraction = 0.0; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) {
+    c->runtime.policy = RoundPolicy::kDeadline;
+    c->runtime.deadline_s = -1.0;
+  }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->runtime.default_up.loss_prob = 1.0; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->runtime.topology.edge_fanout = -1; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->runtime.topology.regional_fanout = 3; }));
+  // The streaming FedAvg has no staleness mixing, and the fleet shares
+  // one codec.
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->runtime.policy = RoundPolicy::kAsync; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->runtime.policy = RoundPolicy::kSemiAsync; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) {
+    c->runtime.client_codecs = {WireCodec::kInt8};
+  }));
+  EXPECT_TRUE(ScaleSimulator(SmallScaleConfig()).Run().ok());
 }
 
 TEST(ScaleSimulator, LazyMatchesEagerBitExactly) {
@@ -272,7 +306,8 @@ TEST(ScaleSimulator, LazyMatchesEagerBitExactly) {
   EXPECT_EQ(lazy.global_fingerprint, eager.global_fingerprint);
   EXPECT_EQ(RoundsDigest(lazy), RoundsDigest(eager));
   EXPECT_EQ(lazy.total_events, eager.total_events);
-  EXPECT_EQ(lazy.total_comm_bytes, eager.total_comm_bytes);
+  EXPECT_EQ(lazy.total_uplink_wire_bytes, eager.total_uplink_wire_bytes);
+  EXPECT_EQ(lazy.total_downlink_wire_bytes, eager.total_downlink_wire_bytes);
 }
 
 TEST(ScaleSimulator, ThreadCountAndRerunKeepResultsBitIdentical) {
@@ -287,30 +322,42 @@ TEST(ScaleSimulator, ThreadCountAndRerunKeepResultsBitIdentical) {
   EXPECT_EQ(RoundsDigest(r1), RoundsDigest(r4));
   EXPECT_EQ(r4.global_fingerprint, again.global_fingerprint);
   EXPECT_EQ(RoundsDigest(r4), RoundsDigest(again));
-  // A different seed moves the result.
+  // A different training seed moves the model, and a different runtime
+  // seed moves who is sampled.
   ScaleFlConfig other = SmallScaleConfig();
   other.seed = 1234;
   EXPECT_NE(ScaleSimulator(other).Run().value().global_fingerprint,
             r1.global_fingerprint);
+  ScaleFlConfig resampled = SmallScaleConfig();
+  resampled.runtime.seed = 1234;
+  const ScaleFlResult rs = ScaleSimulator(resampled).Run().value();
+  EXPECT_NE(rs.rounds[0].outcome.participants,
+            r1.rounds[0].outcome.participants);
 }
 
 TEST(ScaleSimulator, WireCodecShrinksHopBytesAndStaysThreadDeterministic) {
   ScaleFlConfig fp64_cfg = SmallScaleConfig();
-  ScaleFlConfig int8_cfg = SmallScaleConfig();
-  int8_cfg.wire_codec = WireCodec::kInt8;
+  UseTree(&fp64_cfg);
+  ScaleFlConfig int8_cfg = fp64_cfg;
+  int8_cfg.runtime.wire_codec = WireCodec::kInt8;
   const ScaleFlResult fp64 = ScaleSimulator(fp64_cfg).Run().value();
   const ScaleFlResult int8 = ScaleSimulator(int8_cfg).Run().value();
   // Every priced hop carries the quantized record, so each tier's bytes
   // shrink by at least the 4x acceptance floor (fp64 lanes -> u8 lanes).
   ASSERT_EQ(int8.rounds.size(), fp64.rounds.size());
   for (size_t r = 0; r < fp64.rounds.size(); ++r) {
-    ASSERT_EQ(int8.rounds[r].hop_bytes.size(), fp64.rounds[r].hop_bytes.size());
-    for (size_t h = 0; h < fp64.rounds[r].hop_bytes.size(); ++h) {
-      EXPECT_GE(fp64.rounds[r].hop_bytes[h],
-                4.0 * int8.rounds[r].hop_bytes[h]);
+    const RoundOutcome& f = fp64.rounds[r].outcome;
+    const RoundOutcome& q = int8.rounds[r].outcome;
+    ASSERT_EQ(f.hop_bytes.size(), 3u);
+    ASSERT_EQ(q.hop_bytes.size(), f.hop_bytes.size());
+    for (size_t h = 0; h < f.hop_bytes.size(); ++h) {
+      EXPECT_GT(q.hop_bytes[h], 0.0);
+      EXPECT_GE(f.hop_bytes[h], 4.0 * q.hop_bytes[h]);
     }
+    EXPECT_GE(f.uplink_wire_bytes, 4.0 * q.uplink_wire_bytes);
+    EXPECT_GE(f.downlink_wire_bytes, 4.0 * q.downlink_wire_bytes);
   }
-  EXPECT_GE(fp64.total_comm_bytes, 4.0 * int8.total_comm_bytes);
+  EXPECT_GE(fp64.total_uplink_wire_bytes, 4.0 * int8.total_uplink_wire_bytes);
   // Quantization actually touches the model that crosses the wire.
   EXPECT_NE(int8.global_fingerprint, fp64.global_fingerprint);
   // And stays a pure function of the payload: thread counts cannot skew it.
@@ -327,14 +374,27 @@ TEST(ScaleSimulator, WireCodecShrinksHopBytesAndStaysThreadDeterministic) {
 TEST(ScaleSimulator, SampledParticipationAndLazyAccountingHold) {
   ScaleFlConfig cfg = SmallScaleConfig();
   const ScaleFlResult res = ScaleSimulator(cfg).Run().value();
+  const double model_bytes = ModelMessageBytes(cfg, WireCodec::kFp64);
   ASSERT_EQ(res.rounds.size(), 3u);
+  double uplink = 0.0;
+  uint64_t events = 0;
   for (const ScaleRoundStats& r : res.rounds) {
-    EXPECT_EQ(r.participants, 12);
-    EXPECT_EQ(r.delivered, 12);  // reliable links, no tree
-    ASSERT_EQ(r.hop_bytes.size(), 1u);
-    EXPECT_GT(r.hop_bytes[0], 0.0);
-    EXPECT_EQ(r.events, 36u);  // 3 events per participant, flat topology
+    const RoundOutcome& o = r.outcome;
+    EXPECT_EQ(o.participants.size(), 12u);
+    EXPECT_EQ(o.delivered, o.participants);  // reliable links, no tree
+    EXPECT_TRUE(o.hop_bytes.empty());        // flat topology: no tiers
+    // One broadcast and one upload per participant, priced by the runtime
+    // from the encoded whole-model message.
+    EXPECT_EQ(o.uplink_wire_bytes, 12.0 * model_bytes);
+    EXPECT_EQ(o.downlink_wire_bytes, 12.0 * model_bytes);
+    // Real scheduler pops: a broadcast arrival and an upload arrival per
+    // participant.
+    EXPECT_EQ(o.events, 2u * 12u);
+    uplink += o.uplink_wire_bytes;
+    events += o.events;
   }
+  EXPECT_EQ(res.total_uplink_wire_bytes, uplink);
+  EXPECT_EQ(res.total_events, events);
   // 3 rounds x 12 participants + 5 eval acquisitions; never more live
   // state than worker threads.
   EXPECT_EQ(res.materializations, 3u * 12u + 5u);
@@ -350,28 +410,59 @@ TEST(ScaleSimulator, SampledParticipationAndLazyAccountingHold) {
             5);
   EXPECT_GE(res.mean.accuracy, 0.0);
   EXPECT_LE(res.mean.accuracy, 1.0);
-  EXPECT_GT(res.total_comm_bytes, 0.0);
+}
+
+TEST(ScaleSimulator, RuntimeLossAndDeadlineShapeDelivery) {
+  // Lost uploads and late root arrivals are the runtime's verdicts; the
+  // simulator aggregates exactly outcome.delivered.
+  ScaleFlConfig cfg = SmallScaleConfig();
+  cfg.runtime.default_up.loss_prob = 0.3;
+  const ScaleFlResult lossy = ScaleSimulator(cfg).Run().value();
+  int lost = 0;
+  for (const ScaleRoundStats& r : lossy.rounds) {
+    const RoundOutcome& o = r.outcome;
+    lost += o.lost_updates;
+    EXPECT_EQ(o.delivered.size() + static_cast<size_t>(o.lost_updates),
+              o.participants.size());
+  }
+  EXPECT_GT(lost, 0);
+  EXPECT_NE(lossy.global_fingerprint,
+            ScaleSimulator(SmallScaleConfig()).Run().value().global_fingerprint);
+
+  ScaleFlConfig late = SmallScaleConfig();
+  late.runtime.policy = RoundPolicy::kDeadline;
+  late.runtime.deadline_s = 1.0;
+  late.runtime.train_seconds_per_graph = 0.5;  // 3 train graphs: 1.5 s
+  const ScaleFlResult res = ScaleSimulator(late).Run().value();
+  for (const ScaleRoundStats& r : res.rounds) {
+    EXPECT_TRUE(r.outcome.delivered.empty());
+    EXPECT_EQ(r.outcome.late_updates, 12);
+  }
+  // No delivery, no aggregation: the global stays the initialization.
+  EXPECT_EQ(res.global_layers[0], GnnModel(late.client.model).GetLayerFlat(0));
+  EXPECT_DOUBLE_EQ(res.total_sim_time_s, 3.0);
 }
 
 TEST(ScaleSimulator, TreeMatchesFlatWithinMergeTolerance) {
   ScaleFlConfig flat_cfg = SmallScaleConfig();
   ScaleFlConfig tree_cfg = flat_cfg;
-  tree_cfg.topology.edge_fanout = 4;
-  tree_cfg.topology.regional_fanout = 3;
-  tree_cfg.topology.edge_up.latency_s = 0.5;
+  UseTree(&tree_cfg);
   const ScaleFlResult flat = ScaleSimulator(flat_cfg).Run().value();
   const ScaleFlResult tree = ScaleSimulator(tree_cfg).Run().value();
   // Same participants and deliveries; the tree only reassociates the
   // floating-point reduction, so the global matches to tight tolerance.
   ASSERT_EQ(flat.rounds.size(), tree.rounds.size());
   for (size_t r = 0; r < flat.rounds.size(); ++r) {
-    EXPECT_EQ(flat.rounds[r].participants, tree.rounds[r].participants);
-    EXPECT_EQ(flat.rounds[r].delivered, tree.rounds[r].delivered);
-    ASSERT_EQ(tree.rounds[r].hop_bytes.size(), 3u);
-    EXPECT_GT(tree.rounds[r].hop_bytes[1], 0.0);
-    EXPECT_GT(tree.rounds[r].hop_bytes[2], 0.0);
-    // Interior forwards add events on top of the flat 3-per-participant.
-    EXPECT_GT(tree.rounds[r].events, flat.rounds[r].events);
+    const RoundOutcome& f = flat.rounds[r].outcome;
+    const RoundOutcome& t = tree.rounds[r].outcome;
+    EXPECT_EQ(f.participants, t.participants);
+    EXPECT_EQ(f.delivered, t.delivered);
+    ASSERT_EQ(t.hop_bytes.size(), 3u);
+    EXPECT_EQ(t.hop_bytes[0], t.uplink_wire_bytes);
+    EXPECT_GT(t.hop_bytes[1], 0.0);
+    EXPECT_GT(t.hop_bytes[2], 0.0);
+    // Tree forwarding is a routing post-pass, not scheduler events.
+    EXPECT_EQ(t.events, f.events);
   }
   ASSERT_EQ(flat.global_layers.size(), tree.global_layers.size());
   for (size_t l = 0; l < flat.global_layers.size(); ++l) {
@@ -397,17 +488,17 @@ TEST(ScaleSmoke, HundredThousandClientsSampledParticipation) {
   }
   ScaleFlConfig cfg = SmallScaleConfig();
   cfg.num_clients = 100000;
-  cfg.sample_per_round = 48;
+  cfg.runtime.participation_fraction = 48.0 / 100000.0;
   cfg.num_rounds = 2;
   cfg.eval_clients = 4;
   cfg.threads = 0;  // all cores
-  cfg.topology.edge_fanout = 8;
-  cfg.topology.regional_fanout = 4;
+  cfg.runtime.topology.edge_fanout = 8;
+  cfg.runtime.topology.regional_fanout = 4;
   const ScaleFlResult res = ScaleSimulator(cfg).Run().value();
   ASSERT_EQ(res.rounds.size(), 2u);
   for (const ScaleRoundStats& r : res.rounds) {
-    EXPECT_EQ(r.participants, 48);
-    EXPECT_GT(r.delivered, 0);
+    EXPECT_EQ(r.outcome.participants.size(), 48u);
+    EXPECT_FALSE(r.outcome.delivered.empty());
   }
   EXPECT_EQ(res.materializations, 2u * 48u + 4u);
   EXPECT_LT(res.peak_rss_mb, 1500.0) << "peak RSS must stay O(active "
